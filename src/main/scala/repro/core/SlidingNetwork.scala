@@ -8,13 +8,17 @@ import repro.core.ExactCorrelation.Terms
   * per pair, a deque of per-window correlations c_j plus the Lemma-1 terms
   * of the current query window; `ingest` advances every pair via Lemma 2.
   *
+  * How c_j is estimated is the one thing subclasses change, through
+  * `windowCorrs`: exact Pearson here, the DFT estimate 1 − d²/2 in
+  * [[repro.dft.SlidingApproxNetwork]] (Equation 6 is Lemma 2 over it).
+  *
   * Pairs are stored flat in upper-triangular order: pair (i, j), i < j, at
   * index i·n − i(i+1)/2 + (j − i − 1).
   *
   * @param nSeries  number of time-series (network nodes)
   * @param nWindows n_s: number of basic windows in the sliding query window
   */
-final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
+class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
   require(nSeries >= 2 && nWindows >= 1)
 
   private val nPairs = nSeries * (nSeries - 1) / 2
@@ -36,10 +40,28 @@ final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
   /** True once the sliding window holds n_s basic windows. */
   def full: Boolean = size == nWindows
 
+  /** c_j of the arriving basic window for every pair, in pair-index order.
+    * Called once per ingest, before any state changes.
+    *
+    * @param windows raw basic window per series, all of equal length
+    * @param stats   their sketches, `WindowStats.of(windows(i))`
+    */
+  protected def windowCorrs(windows: Array[Array[Double]], stats: Array[WindowStats]): Array[Double] = {
+    val cs = new Array[Double](nPairs)
+    var p = 0
+    var i = 0
+    while (i < nSeries) {
+      var j = i + 1
+      while (j < nSeries) { cs(p) = WindowStats.pearson(windows(i), windows(j)); p += 1; j += 1 }
+      i += 1
+    }
+    cs
+  }
+
   /** Feed one basic window of raw data for every series. Until the window
     * count reaches n_s this grows the query window (Lemma 2's append
     * special case); afterwards it slides (evict oldest + add newest).
-    * Per-pair cost after the O(N·B) sketch and O(N²·B) c_j pass is O(1) —
+    * Per-pair cost after the O(N·B) sketch and the c_j pass is O(1) —
     * the point of Lemma 2.
     *
     * @param windows raw basic window per series, all of equal length
@@ -49,13 +71,14 @@ final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
     val b = windows(0).length
     require(windows.forall(_.length == b), "all series must deliver equal-size basic windows")
     val stats = windows.map(WindowStats.of)
+    val cs = windowCorrs(windows, stats)
     val evicting = full
+    var p = 0
     var i = 0
     while (i < nSeries) {
       var j = i + 1
       while (j < nSeries) {
-        val p = pairIndex(i, j)
-        val c = WindowStats.pearson(windows(i), windows(j))
+        val c = cs(p)
         if (pairTerms(p) == null) {
           // first window: δ = 0, so terms are the window's own moments
           pairTerms(p) = Terms(b.toLong, b * stats(i).std * stats(j).std * c,
@@ -69,7 +92,7 @@ final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
           pairTerms(p) = IncrementalCorrelation.append(pairTerms(p), stats(i), stats(j), c)
         }
         pairCs(p).append(c)
-        j += 1
+        p += 1; j += 1
       }
       i += 1
     }

@@ -33,10 +33,13 @@ object ApproxCorrelation {
   /** Per-window DFT sketch: coefficients of the normalized window. */
   final case class DftSketch(re: Array[Double], im: Array[Double])
 
-  def sketchWindow(xs: Array[Double]): DftSketch = {
-    val (re, im) = DFT.transform(normalize(xs, WindowStats.of(xs)))
+  /** DFT sketch of a raw window whose moments are already known. */
+  def sketchWindow(xs: Array[Double], s: WindowStats): DftSketch = {
+    val (re, im) = DFT.transform(normalize(xs, s))
     DftSketch(re, im)
   }
+
+  def sketchWindow(xs: Array[Double]): DftSketch = sketchWindow(xs, WindowStats.of(xs))
 
   /** Dist_n² of two windows' DFT sketches (first n coefficients). */
   def windowDistSq(x: DftSketch, y: DftSketch, nCoeff: Int): Double =

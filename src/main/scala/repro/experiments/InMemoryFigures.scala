@@ -2,8 +2,7 @@ package repro.experiments
 
 import repro.climate.ClimateData
 import repro.core._
-import repro.dft.{ApproxCorrelation, DFT, SlidingApproxNetwork}
-import repro.dft.ApproxCorrelation.DftSketch
+import repro.dft.{ApproxCorrelation, SlidingApproxNetwork}
 
 /** Harnesses for the paper's in-memory experiments (Figures 5a–5d) on the
   * NCEA-like data set. These measure the *algorithms* (as the paper's
@@ -34,12 +33,8 @@ object InMemoryFigures {
     val windows = data.map(BasicWindows.split(_, b))
     val nWin = windows(0).length
     val stats = windows.map(_.map(WindowStats.of))
-    val sketches: Array[Array[DftSketch]] = Array.tabulate(n) { i =>
-      Array.tabulate(nWin) { w =>
-        val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i)(w), stats(i)(w)))
-        DftSketch(re, im)
-      }
-    }
+    val sketches = Array.tabulate(n)(i =>
+      Array.tabulate(nWin)(w => ApproxCorrelation.sketchWindow(windows(i)(w), stats(i)(w))))
     // exact per-window correlations, averaged (coefficient-independent)
     val exactNet = Network.fromPairs(n, (i, j) => {
       val cs = Array.tabulate(nWin)(w => WindowStats.pearson(windows(i)(w), windows(j)(w)))
@@ -109,10 +104,8 @@ object InMemoryFigures {
         val windows = trimmed.map(BasicWindows.split(_, b))
         stats = windows.map(_.map(WindowStats.of))
         val nWin = windows(0).length
-        val sk = Array.tabulate(n)(i => Array.tabulate(nWin) { w =>
-          val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i)(w), stats(i)(w)))
-          DftSketch(re, im)
-        })
+        val sk = Array.tabulate(n)(i =>
+          Array.tabulate(nWin)(w => ApproxCorrelation.sketchWindow(windows(i)(w), stats(i)(w))))
         dsq = new Array[Array[Double]](n * (n - 1) / 2)
         var p = 0
         var i = 0
@@ -160,11 +153,8 @@ object InMemoryFigures {
     val stds = Array.tabulate(n)(i => windows(i).map(w => WindowStats.of(w).std))
     val cs = new Array[Array[Double]](nPairs)
     val cHat = new Array[Array[Double]](nPairs) // 1 − d²/2 per window (Eq 5 inputs)
-    val sketches = Array.tabulate(n)(i => Array.tabulate(nWin) { w =>
-      val stats = WindowStats(b, means(i)(w), stds(i)(w))
-      val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i)(w), stats))
-      DftSketch(re, im)
-    })
+    val sketches = Array.tabulate(n)(i => Array.tabulate(nWin)(w =>
+      ApproxCorrelation.sketchWindow(windows(i)(w), WindowStats(b, means(i)(w), stds(i)(w)))))
     var p = 0
     var i = 0
     while (i < n) {

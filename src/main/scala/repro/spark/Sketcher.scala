@@ -2,7 +2,8 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.UserDefinedFunction
-import repro.dft.DFT
+import repro.core.WindowStats
+import repro.dft.ApproxCorrelation
 
 /** Algorithm 1 (sketching) on Spark DataFrames.
   *
@@ -13,10 +14,10 @@ import repro.dft.DFT
   *     population std, and the window's time-ordered value array (the
   *     array is needed once, to compute pairwise c_j; it is not part of
   *     the persisted sketch).
-  *  2. `pairSketch`: self-join aligned windows of pairs (i < j) and fold
-  *     the per-window Pearson c_j with `zip_with`/`aggregate` — plus,
-  *     for the DFT comparator, the prefix distance of the normalized
-  *     windows' DFT coefficients.
+  *  2. `pairSketch`: self-join aligned windows of pairs (i < j) and
+  *     compute the per-window Pearson c_j with a compiled dot-product
+  *     UDF — plus, for the DFT comparator, the prefix distance of the
+  *     normalized windows' DFT coefficients.
   *
   * The persisted pair sketch row (i, j, w, b, mean/std of both sides, c_j
   * [, d_sq]) is exactly the paper's per-basic-window statistics table.
@@ -43,15 +44,8 @@ object Sketcher {
     * design — the comparator's cost the paper measures.
     */
   val dftCoeffsUdf: UserDefinedFunction = F.udf { (values: Seq[Double], mean: Double, std: Double) =>
-    val n = values.length
-    val norm = new Array[Double](n)
-    if (std > 0.0) {
-      val den = std * math.sqrt(n.toDouble)
-      var i = 0
-      while (i < n) { norm(i) = (values(i) - mean) / den; i += 1 }
-    }
-    val (re, im) = DFT.transform(norm)
-    re.toSeq ++ im.toSeq
+    val sk = ApproxCorrelation.sketchWindow(values.toArray, WindowStats(values.length, mean, std))
+    sk.re.toSeq ++ sk.im.toSeq
   }
 
   private val distSqUdf: UserDefinedFunction = F.udf { (x: Seq[Double], y: Seq[Double], nCoeff: Int) =>

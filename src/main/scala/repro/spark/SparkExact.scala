@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
 
 /** Algorithm 2 (Network-Construct-Histo) on Spark: Lemma 1 evaluated as a
   * single Catalyst aggregation per pair over the persisted pair sketch.
@@ -37,11 +37,26 @@ object SparkExact {
       )
       .select(
         F.col("i"), F.col("j"),
-        ((F.col("scov") + F.col("smxy") - F.col("smx") * F.col("smy") / t) /
-          F.sqrt(
-            (F.col("svx") + F.col("smx2") - F.col("smx") * F.col("smx") / t) *
-            (F.col("svy") + F.col("smy2") - F.col("smy") * F.col("smy") / t))).as("corr"),
+        (F.col("scov") + F.col("smxy") - F.col("smx") * F.col("smy") / t).as("num"),
+        tVar(F.col("svx"), F.col("smx"), F.col("smx2"), t).as("vx"),
+        tVar(F.col("svy"), F.col("smy"), F.col("smy2"), t).as("vy"),
       )
+      // 0 when either side is constant over the window, as Terms.corr; the
+      // guard also keeps ANSI mode from failing the query on a zero divisor
+      .select(
+        F.col("i"), F.col("j"),
+        F.when(F.col("vx") > 0 && F.col("vy") > 0, F.col("num") / F.sqrt(F.col("vx") * F.col("vy")))
+          .otherwise(F.lit(0.0)).as("corr"),
+      )
+  }
+
+  /** T·σ² of one side. When every window is flat (Σ B σ² = 0) it is only
+    * the spread of the window means, and a value within the power sums'
+    * rounding bound T·ε·Σ B m² cannot be told from 0: a constant series.
+    */
+  private def tVar(sv: Column, sm: Column, sm2: Column, t: Column): Column = {
+    val v = sv + sm2 - sm * sm / t
+    F.when(sv === 0 && v <= t * math.ulp(1.0) * sm2, F.lit(0.0)).otherwise(v)
   }
 
   /** DFT-approximate per-pair correlation on the same window — Equation 5

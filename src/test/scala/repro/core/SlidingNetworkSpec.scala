@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSeries
 import repro.climate.ClimateData
+import repro.dft.SlidingApproxNetwork
 
 /** SlidingNetwork must, after every ingest, report exactly the direct
   * Pearson correlations of the last n_s·B raw points of every pair.
@@ -47,12 +48,6 @@ class SlidingNetworkSpec extends AnyFunSuite {
     assert(net.full && net.size == 3) // sliding, not growing
   }
 
-  test("pairIndex enumerates the upper triangle without collisions") {
-    val net = new SlidingNetwork(7, 2)
-    val idx = for (i <- 0 until 7; j <- i + 1 until 7) yield net.pairIndex(i, j)
-    assert(idx.sorted == (0 until 21))
-  }
-
   test("network thresholding matches Network.fromMatrix") {
     val data = ClimateData.series(5, 60, 3L)
     val net = new SlidingNetwork(5, 3)
@@ -61,18 +56,35 @@ class SlidingNetworkSpec extends AnyFunSuite {
     assert(net.network(0.5).edges == viaMatrix.edges)
   }
 
-  test("mismatched window counts rejected") {
-    val net = new SlidingNetwork(3, 2)
-    intercept[IllegalArgumentException](net.ingest(Array(Array(1.0), Array(2.0))))
-  }
+  /** The exact engine and its DFT subclass share the engine's contract;
+    * the suffix names the DFT runs of each case.
+    */
+  private val engines: Seq[(String, (Int, Int) => SlidingNetwork)] = Seq(
+    "" -> ((n, nWin) => new SlidingNetwork(n, nWin)),
+    " (dft)" -> ((n, nWin) => new SlidingApproxNetwork(n, nWin, nCoeff = 1)))
 
-  test("unequal window lengths rejected") {
-    val net = new SlidingNetwork(2, 2)
-    intercept[IllegalArgumentException](net.ingest(Array(Array(1.0, 2.0), Array(3.0))))
-  }
+  for ((suffix, engine) <- engines) {
+    test(s"pairIndex enumerates the upper triangle without collisions$suffix") {
+      val net = engine(7, 2)
+      val idx = for (i <- 0 until 7; j <- i + 1 until 7) yield net.pairIndex(i, j)
+      assert(idx.sorted == (0 until 21))
+      intercept[IllegalArgumentException](net.pairIndex(3, 7))
+      intercept[IllegalArgumentException](net.pairIndex(2, 2))
+    }
 
-  test("corr before any ingest rejected") {
-    val net = new SlidingNetwork(2, 2)
-    intercept[IllegalArgumentException](net.corr(0, 1))
+    test(s"mismatched window counts rejected$suffix") {
+      val net = engine(3, 2)
+      intercept[IllegalArgumentException](net.ingest(Array(Array(1.0), Array(2.0))))
+    }
+
+    test(s"unequal window lengths rejected$suffix") {
+      val net = engine(2, 2)
+      intercept[IllegalArgumentException](net.ingest(Array(Array(1.0, 2.0), Array(3.0))))
+    }
+
+    test(s"corr before any ingest rejected$suffix") {
+      val net = engine(2, 2)
+      intercept[IllegalArgumentException](net.corr(0, 1))
+    }
   }
 }

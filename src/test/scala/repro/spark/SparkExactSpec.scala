@@ -50,6 +50,26 @@ class SparkExactSpec extends SparkSpec {
     }
   }
 
+  // a constant at 0.0 has exact window moments; at a generic reading the
+  // power sums leave a rounding residue in place of a zero variance
+  for ((label, level) <- Seq("a generic reading" -> None, "0.0" -> Some(0.0)))
+    test(s"correlationMatrix gives 0 for a series constant at $label, as local Lemma 1") {
+      val cb = 20
+      val cdata = ClimateData.series(3, 60, seed = 43L)
+      cdata(1) = Array.fill(60)(level.getOrElse(cdata(1)(0)))
+      val csketch = Sketcher.pairSketch(Sketcher.seriesWindowStats(ClimateData.toDF(spark, cdata), cb))
+      val rows = SparkExact.correlationMatrix(csketch, 0, 2).collect()
+      assert(rows.length == 3)
+      rows.foreach { r =>
+        val i = r.getAs[Int]("i"); val j = r.getAs[Int]("j")
+        val local = ExactCorrelation.lemma1(
+          BasicWindows.sketch(cdata(i), cb).toIndexedSeq,
+          BasicWindows.sketch(cdata(j), cb).toIndexedSeq,
+          BasicWindows.pairCorrs(cdata(i), cdata(j), cb).toIndexedSeq)
+        assert(math.abs(r.getAs[Double]("corr") - local) < 1e-9, s"($i,$j)")
+      }
+    }
+
   test("ORACLE: sketch-based correlation equals DuckDB corr over raw data") {
     val corrDf = SparkExact.correlationMatrix(sketch, 0, nWin - 1)
     Oracle.assertEquivalent(

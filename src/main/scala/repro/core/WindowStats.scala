@@ -43,6 +43,19 @@ object WindowStats {
     else covariance(x, y, sx, sy) / (sx.std * sy.std)
   }
 
+  /** Write the window normalized to zero mean and unit L2 norm,
+    * (x − μ)/(σ√B), into `out` from `offset` on; a constant window (σ = 0)
+    * maps to zeros, so its dot product with any window is pearson's c = 0.
+    */
+  def normalizeInto(xs: Array[Double], s: WindowStats, out: Array[Double], offset: Int): Unit = {
+    val n = xs.length
+    if (s.std > 0.0) {
+      val den = s.std * math.sqrt(n.toDouble)
+      var i = 0
+      while (i < n) { out(offset + i) = (xs(i) - s.mean) / den; i += 1 }
+    } else java.util.Arrays.fill(out, offset, offset + n, 0.0)
+  }
+
   /** Population covariance of two aligned windows given their sketches. */
   def covariance(x: Array[Double], y: Array[Double], sx: WindowStats, sy: WindowStats): Double = {
     val n = x.length

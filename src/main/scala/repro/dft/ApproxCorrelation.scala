@@ -20,13 +20,8 @@ object ApproxCorrelation {
     * distance in Eq 5, so the convention is harmless.
     */
   def normalize(xs: Array[Double], s: WindowStats): Array[Double] = {
-    val n = xs.length
-    val out = new Array[Double](n)
-    if (s.std > 0.0) {
-      val den = s.std * math.sqrt(n.toDouble)
-      var i = 0
-      while (i < n) { out(i) = (xs(i) - s.mean) / den; i += 1 }
-    }
+    val out = new Array[Double](xs.length)
+    WindowStats.normalizeInto(xs, s, out, 0)
     out
   }
 

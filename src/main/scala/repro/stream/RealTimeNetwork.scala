@@ -19,6 +19,11 @@ final case class Obs(seriesId: Int, t: Long, value: Double)
   * via Lemma 2. The current network is queryable at any time between
   * batches.
   *
+  * A window is complete when every series has reported at each of its B
+  * timestamps. A second row for the same (series, t) overwrites the first
+  * (last write wins) and is counted in `duplicateRows`; a row for a
+  * timestamp already ingested is dropped and counted in `lateRows`.
+  *
   * @param spark    session to attach the stream to
   * @param nSeries  number of series
   * @param b        basic window size B
@@ -28,11 +33,18 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
 
   val sliding = new SlidingNetwork(nSeries, nWindows)
 
-  // t → per-series values observed so far at that timestamp
-  private val pendingValues = mutable.LongMap.empty[Array[Double]]
-  private val pendingCounts = mutable.LongMap.empty[Int]
+  /** Values observed so far at one timestamp, and which series sent them. */
+  private final class Pending {
+    val values = new Array[Double](nSeries)
+    val seen = new Array[Boolean](nSeries)
+    var reported = 0
+  }
+
+  private val pending = mutable.LongMap.empty[Pending]
   private var nextWindowStart = 0L
   private var windowsIngested = 0L
+  private var duplicates = 0L
+  private var late = 0L
 
   val input: MemoryStream[Obs] = MemoryStream[Obs](spark)(Encoders.product[Obs])
 
@@ -51,24 +63,26 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
   private def offer(rows: Array[Obs]): Unit = synchronized {
     rows.foreach { o =>
       require(o.seriesId >= 0 && o.seriesId < nSeries, s"bad series ${o.seriesId}")
-      val arr = pendingValues.getOrElseUpdate(o.t, new Array[Double](nSeries))
-      arr(o.seriesId) = o.value
-      pendingCounts(o.t) = pendingCounts.getOrElse(o.t, 0) + 1
+      if (o.t < nextWindowStart) late += 1
+      else {
+        val at = pending.getOrElseUpdate(o.t, new Pending)
+        if (at.seen(o.seriesId)) duplicates += 1
+        else { at.seen(o.seriesId) = true; at.reported += 1 }
+        at.values(o.seriesId) = o.value
+      }
     }
     var complete = true
     while (complete) {
       var t = nextWindowStart
       while (complete && t < nextWindowStart + b) {
-        if (pendingCounts.getOrElse(t, 0) < nSeries) complete = false
+        if (!pending.get(t).exists(_.reported == nSeries)) complete = false
         t += 1
       }
       if (complete) {
-        val windows = Array.tabulate(nSeries)(i =>
-          Array.tabulate(b)(k => pendingValues(nextWindowStart + k)(i)))
+        val at = Array.tabulate(b)(k => pending(nextWindowStart + k).values)
+        val windows = Array.tabulate(nSeries)(i => Array.tabulate(b)(k => at(k)(i)))
         sliding.ingest(windows)
-        (nextWindowStart until nextWindowStart + b).foreach { tt =>
-          pendingValues.remove(tt); pendingCounts.remove(tt)
-        }
+        (nextWindowStart until nextWindowStart + b).foreach(pending.remove)
         nextWindowStart += b
         windowsIngested += 1
       }
@@ -83,6 +97,12 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
 
   /** Number of complete basic windows ingested so far. */
   def ingestedWindows: Long = synchronized(windowsIngested)
+
+  /** Rows that repeated a (series, t) already received; the later value was kept. */
+  def duplicateRows: Long = synchronized(duplicates)
+
+  /** Rows dropped because their timestamp was already ingested. */
+  def lateRows: Long = synchronized(late)
 
   def matrix(): Array[Array[Double]] = synchronized(sliding.matrix())
   def network(theta: Double): Network = synchronized(sliding.network(theta))

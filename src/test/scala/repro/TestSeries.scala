@@ -1,8 +1,8 @@
 package repro
 
 /** Deterministic test-series generators plus an *independent* Pearson
-  * reference (sum-based formula, distinct code path from
-  * `WindowStats.pearson`) so the production math is checked against a
+  * reference (a separate two-pass implementation, not `WindowStats.pearson`
+  * or any production sketch) so the production math is checked against a
   * second implementation, not itself.
   */
 object TestSeries {
@@ -44,19 +44,20 @@ object TestSeries {
       (gaussian(len, seed).map(v => 1e4 * v + 5e4), gaussian(len, seed + 7).map(v => 1e-3 * v - 2))),
   )
 
-  /** Independent Pearson reference via raw power sums. */
+  /** Independent Pearson reference, two-pass: the means first, then the
+    * centred sums, so a large offset does not cancel (unlike raw power
+    * sums). 0 when either side has no spread.
+    */
   def refPearson(x: Array[Double], y: Array[Double]): Double = {
     require(x.length == y.length && x.length > 0)
-    val n = x.length.toDouble
-    var sx = 0.0; var sy = 0.0; var sxx = 0.0; var syy = 0.0; var sxy = 0.0
+    val mx = x.sum / x.length; val my = y.sum / y.length
+    var sxx = 0.0; var syy = 0.0; var sxy = 0.0
     var i = 0
     while (i < x.length) {
-      sx += x(i); sy += y(i); sxx += x(i) * x(i); syy += y(i) * y(i); sxy += x(i) * y(i)
+      val dx = x(i) - mx; val dy = y(i) - my
+      sxx += dx * dx; syy += dy * dy; sxy += dx * dy
       i += 1
     }
-    val cov = sxy / n - (sx / n) * (sy / n)
-    val vx = sxx / n - (sx / n) * (sx / n)
-    val vy = syy / n - (sy / n) * (sy / n)
-    if (vx <= 0 || vy <= 0) 0.0 else cov / math.sqrt(vx * vy)
+    if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
   }
 }

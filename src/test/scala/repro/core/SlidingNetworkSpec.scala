@@ -15,24 +15,49 @@ class SlidingNetworkSpec extends AnyFunSuite {
   private def windowsOf(data: Array[Array[Double]], b: Int, w: Int): Array[Array[Double]] =
     data.map(s => java.util.Arrays.copyOfRange(s, w * b, (w + 1) * b))
 
+  /** Ingest basic window w = [bounds(w), bounds(w + 1)) of every series in
+    * turn and, after each, compare the matrix with the reference over the
+    * last n_s windows' raw points.
+    */
+  private def assertTracksReference(data: Array[Array[Double]], bounds: Seq[Int], nWin: Int): Unit = {
+    val n = data.length
+    val net = new SlidingNetwork(n, nWin)
+    for (w <- 0 until bounds.length - 1) {
+      net.ingest(data.map(s => java.util.Arrays.copyOfRange(s, bounds(w), bounds(w + 1))))
+      val lo = bounds(math.max(0, w + 1 - nWin))
+      val hi = bounds(w + 1)
+      val m = net.matrix()
+      for (i <- 0 until n; j <- i + 1 until n) {
+        val expect = TestSeries.refPearson(
+          data(i).slice(lo, hi), data(j).slice(lo, hi))
+        assert(math.abs(m(i)(j) - expect) < tol, s"window $w pair ($i,$j)")
+        assert(m(i)(j) == m(j)(i))
+      }
+    }
+  }
+
   for ((n, b, nWin) <- Seq((3, 8, 3), (5, 10, 4), (8, 5, 6))) {
     test(s"matrix equals direct Pearson after every ingest (n=$n B=$b n_s=$nWin)") {
       val totalWin = nWin + 4
       val data = ClimateData.series(n, totalWin * b, seed = 11L * n + b)
-      val net = new SlidingNetwork(n, nWin)
-      for (w <- 0 until totalWin) {
-        net.ingest(windowsOf(data, b, w))
-        val lo = math.max(0, (w + 1) * b - nWin * b)
-        val hi = (w + 1) * b
-        val m = net.matrix()
-        for (i <- 0 until n; j <- i + 1 until n) {
-          val expect = TestSeries.refPearson(
-            data(i).slice(lo, hi), data(j).slice(lo, hi))
-          assert(math.abs(m(i)(j) - expect) < tol, s"window $w pair ($i,$j)")
-          assert(m(i)(j) == m(j)(i))
-        }
-      }
+      assertTracksReference(data, (0 to totalWin).map(_ * b), nWin)
     }
+  }
+
+  test("series offset by 1e6 σ match the two-pass reference after every ingest") {
+    val n = 5; val b = 10; val nWin = 4; val totalWin = 3 * nWin
+    val data = ClimateData.series(n, totalWin * b, seed = 37L).map { s =>
+      val offset = 1e6 * WindowStats.of(s).std
+      s.map(_ + offset)
+    }
+    assertTracksReference(data, (0 to totalWin).map(_ * b), nWin)
+  }
+
+  test("unequal basic-window sizes stay exact as the ring wraps") {
+    val n = 4; val nWin = 3
+    val sizes = Seq.tabulate(3 * nWin + 2)(k => Seq(8, 10, 12, 7, 9)(k % 5))
+    val bounds = sizes.scanLeft(0)(_ + _)
+    assertTracksReference(ClimateData.series(n, bounds.last, seed = 43L), bounds, nWin)
   }
 
   test("full flag flips once n_s windows arrived") {

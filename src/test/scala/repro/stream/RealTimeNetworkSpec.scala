@@ -74,6 +74,43 @@ class RealTimeNetworkSpec extends SparkSpec {
     } finally net.stop()
   }
 
+  test("a duplicate row does not complete a window that lacks a series; the last write wins") {
+    val n = 3; val b = 5
+    val data = ClimateData.series(n, b, 77L)
+    val net = new RealTimeNetwork(spark, n, b, 2)
+    try {
+      // series 2 misses its last point; series 0's last point arrives wrong first
+      val rows = obsFor(data, 0, b).filterNot(o => o.seriesId == 2 && o.t == b - 1)
+        .map(o => if (o.seriesId == 0 && o.t == b - 1) o.copy(value = 999.0) else o)
+      net.sendAndProcess(rows)
+      net.sendAndProcess(Seq(Obs(0, b - 1, data(0)(b - 1))))
+      assert(net.ingestedWindows == 0)
+      assert(net.duplicateRows == 1)
+      net.sendAndProcess(Seq(Obs(2, b - 1, data(2)(b - 1))))
+      assert(net.ingestedWindows == 1)
+      val m = net.matrix()
+      for (i <- 0 until n; j <- i + 1 until n)
+        assert(math.abs(m(i)(j) - TestSeries.refPearson(data(i), data(j))) < tol, s"pair ($i,$j)")
+    } finally net.stop()
+  }
+
+  test("a row for an ingested timestamp is dropped and counted") {
+    val n = 2; val b = 4
+    val data = ClimateData.series(n, b * 2, 78L)
+    val net = new RealTimeNetwork(spark, n, b, 2)
+    try {
+      net.sendAndProcess(obsFor(data, 0, b))
+      assert(net.ingestedWindows == 1)
+      net.sendAndProcess(Seq(Obs(0, 1L, 1e3), Obs(1, b - 1L, -1e3)))
+      assert(net.lateRows == 2)
+      assert(net.duplicateRows == 0)
+      net.sendAndProcess(obsFor(data, b, 2 * b))
+      assert(net.ingestedWindows == 2)
+      val m = net.matrix()
+      assert(math.abs(m(0)(1) - TestSeries.refPearson(data(0), data(1))) < tol)
+    } finally net.stop()
+  }
+
   test("out-of-order arrival within a window is tolerated") {
     val n = 2; val b = 6
     val data = ClimateData.series(n, b * 2, 75L)
